@@ -20,7 +20,7 @@
 //! boundaries (FIFO among equal timestamps).
 
 use crate::queue::EventQueue;
-use crate::sources::{ArrivalSource, FailureProcess};
+use crate::sources::{Arrival, ArrivalSource, FailureProcess};
 use crate::time::SimTime;
 use cpo_core::prelude::Allocator;
 use cpo_model::prelude::*;
@@ -28,7 +28,6 @@ use cpo_platform::prelude::{
     FleetExecutor, LifetimePolicy, ShardBackend, ShardedScheduler, SimConfig, TenantId,
     WindowExecutor, WindowReport,
 };
-use cpo_platform::tenant::rebase_rules;
 
 /// How a window's solve time becomes simulation latency.
 #[derive(Clone, Copy, Debug)]
@@ -105,14 +104,12 @@ impl Default for DesConfig {
     }
 }
 
-/// Events on the kernel queue.
+/// Events on the kernel queue. Every variant is at most one word, so a
+/// queue entry stays small however many departures are pending.
 enum DesEvent {
-    /// A request arrived (payload drawn from the arrival source).
-    Arrival {
-        batch: RequestBatch,
-        holding: f64,
-        key: u64,
-    },
+    /// The staged arrival is due (its payload waits in
+    /// `WindowedScheduler::staged`, not in the queue).
+    Arrival,
     /// A tenant's holding time expired.
     Departure(TenantId),
     /// A server went down.
@@ -122,6 +119,8 @@ enum DesEvent {
     /// End of a cyclic window: solve and apply.
     WindowBoundary,
 }
+
+const _: () = assert!(std::mem::size_of::<DesEvent>() == 16);
 
 /// Request waiting-time statistics (arrival → admission/rejection
 /// decision taking effect).
@@ -175,27 +174,21 @@ impl DesReport {
     }
 }
 
-/// One pending (not yet solved) arrival.
-struct PendingArrival {
-    at: SimTime,
-    batch: RequestBatch,
-    holding: f64,
-    /// Flight-recorder correlation key (the source's stream index).
-    key: u64,
-}
-
 /// The window-engine surface [`WindowedScheduler`] drives: everything the
 /// continuous-time loop needs from a platform, abstracted so the same
 /// scheduler runs over the full reconfiguration engine
 /// ([`WindowExecutor`]) or the streaming admission-only one
 /// ([`FleetExecutor`]).
 pub trait WindowBackend {
-    /// Assigns sequential tenant ids to an arrival batch.
+    /// Assigns sequential tenant ids to an arrival batch, one per request
+    /// in batch order.
     fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId>;
     /// Binds tenant ids to flight-recorder correlation keys.
     fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]);
     /// Solves one window over the registered arrivals; departures are
-    /// external (the scheduler owns holding times).
+    /// external (the scheduler owns holding times). Returns the report
+    /// plus the admitted tenant ids, a subsequence of `ids` in arrival
+    /// order.
     fn execute_window(
         &mut self,
         allocator: &dyn Allocator,
@@ -345,7 +338,12 @@ pub struct WindowedScheduler<S: ArrivalSource, B: WindowBackend = WindowExecutor
     queue: EventQueue<DesEvent>,
     source: S,
     config: DesConfig,
-    pending: Vec<PendingArrival>,
+    /// The next arrival, drawn from the source when the previous one
+    /// fires. At most one arrival is queued at a time, so its payload
+    /// lives here and the queued event carries none.
+    staged: Option<Arrival>,
+    /// Arrivals waiting for the next window close, in arrival order.
+    pending: Vec<Arrival>,
     failures: Option<FailureProcess>,
 }
 
@@ -374,6 +372,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             queue: EventQueue::new(),
             source,
             config,
+            staged: None,
             pending: Vec::new(),
             failures: None,
         }
@@ -400,18 +399,13 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         self.queue.now()
     }
 
-    /// Pulls the next arrival from the source onto the queue.
+    /// Pulls the next arrival from the source and stages it on the queue.
     fn schedule_next_arrival(&mut self, horizon: f64) {
+        debug_assert!(self.staged.is_none(), "one arrival is staged at a time");
         if let Some(arr) = self.source.next_arrival() {
             if arr.at.as_f64() <= horizon {
-                self.queue.schedule(
-                    arr.at,
-                    DesEvent::Arrival {
-                        batch: arr.batch,
-                        holding: arr.holding,
-                        key: arr.key,
-                    },
-                );
+                self.queue.schedule(arr.at, DesEvent::Arrival);
+                self.staged = Some(arr);
             }
         }
     }
@@ -446,24 +440,16 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             }
             let (now, event) = self.queue.pop().expect("peeked");
             match event {
-                DesEvent::Arrival {
-                    batch,
-                    holding,
-                    key,
-                } => {
+                DesEvent::Arrival => {
+                    let arrival = self.staged.take().expect("arrival event without payload");
                     cpo_obs::flight::record(
                         cpo_obs::flight::FlightKind::Arrived,
-                        key,
+                        arrival.key,
                         cpo_obs::flight::NONE,
                         sim_us(now.as_f64()),
-                        batch.vm_count() as u64,
+                        arrival.batch.vm_count() as u64,
                     );
-                    self.pending.push(PendingArrival {
-                        at: now,
-                        batch,
-                        holding,
-                        key,
-                    });
+                    self.pending.push(arrival);
                     self.schedule_next_arrival(horizon);
                 }
                 DesEvent::Departure(id) => {
@@ -500,7 +486,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         let mut sp = cpo_obs::span!("des.window", window = report.windows.len());
         cpo_obs::gauge_set("des.queue_depth", self.pending.len() as f64);
         let pending = std::mem::take(&mut self.pending);
-        let (batch, arrival_times, holdings, keys) = merge_pending(&pending);
+        let (batch, arrival_times, holdings, keys) = merge_pending(pending);
         let ids = self.exec.register_arrivals(&batch);
         // Bind correlation keys before the solve so admission, placement
         // and later per-tenant events carry the request uid.
@@ -527,11 +513,18 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         for at in &arrival_times {
             report.waiting.observe(effective - *at);
         }
-        // Admitted tenants depart one holding time after admission.
-        for id in &admitted {
-            let pos = ids.iter().position(|t| t == id).expect("admitted ⊆ ids");
+        // Admitted tenants depart one holding time after admission, in
+        // admission order. Admitted ids are a subsequence of `ids`, so one
+        // forward walk finds every holding time.
+        let mut pos = 0;
+        for &id in &admitted {
+            pos += ids[pos..]
+                .iter()
+                .position(|&t| t == id)
+                .expect("admitted ids are a subsequence of ids in arrival order");
             self.queue
-                .schedule(effective + holdings[pos], DesEvent::Departure(*id));
+                .schedule(effective + holdings[pos], DesEvent::Departure(id));
+            pos += 1;
         }
         // The next window opens when both the cycle and the solve allow.
         let next = (now + self.config.window_length).max(effective);
@@ -557,32 +550,23 @@ fn sim_us(t: f64) -> u64 {
     (t.max(0.0) * 1e6).round() as u64
 }
 
-/// Merges single-request pending batches into one window batch, keeping
-/// arrival order; returns the batch plus per-request arrival times,
-/// holding times and correlation keys (indexed like the batch's
-/// requests). A multi-request pending batch shares its arrival's key
-/// across its requests only when it holds exactly one request (the
-/// sources' invariant); extra requests get [`cpo_obs::flight::NONE`].
-fn merge_pending(pending: &[PendingArrival]) -> (RequestBatch, Vec<SimTime>, Vec<f64>, Vec<u64>) {
+/// Merges the pending arrivals' batches into one window batch by move,
+/// keeping arrival order; returns the batch plus per-request arrival
+/// times, holding times and correlation keys (indexed like the batch's
+/// requests). An arrival's correlation key goes to its first request;
+/// extra requests of a multi-request batch (sources emit one request
+/// per arrival) get [`cpo_obs::flight::NONE`].
+fn merge_pending(pending: Vec<Arrival>) -> (RequestBatch, Vec<SimTime>, Vec<f64>, Vec<u64>) {
     let mut batch = RequestBatch::new();
     let mut times = Vec::with_capacity(pending.len());
     let mut holdings = Vec::with_capacity(pending.len());
     let mut keys = Vec::with_capacity(pending.len());
     for p in pending {
-        for (r, req) in p.batch.requests().iter().enumerate() {
-            let base = batch.vm_count();
-            let vms: Vec<VmSpec> = req.vms.iter().map(|&k| p.batch.vm(k).clone()).collect();
-            let rules = rebase_rules(req)
-                .into_iter()
-                .map(|(kind, locals)| {
-                    AffinityRule::new(kind, locals.iter().map(|&l| VmId(base + l)).collect())
-                })
-                .collect();
-            batch.push_request(vms, rules);
-            times.push(p.at);
-            holdings.push(p.holding);
-            keys.push(if r == 0 { p.key } else { cpo_obs::flight::NONE });
-        }
+        let requests = p.batch.request_count();
+        times.extend(std::iter::repeat_n(p.at, requests));
+        holdings.extend(std::iter::repeat_n(p.holding, requests));
+        keys.extend((0..requests).map(|r| if r == 0 { p.key } else { cpo_obs::flight::NONE }));
+        batch.append(p.batch);
     }
     (batch, times, holdings, keys)
 }

@@ -87,6 +87,14 @@ impl AffinityRule {
         &self.vms
     }
 
+    /// Renumbers the rule's resources by `by` (a batch append moving the
+    /// owning request behind `by` earlier VMs).
+    pub(crate) fn offset_vms(&mut self, by: usize) {
+        for k in &mut self.vms {
+            k.0 += by;
+        }
+    }
+
     /// Checks the rule against an assignment. Unassigned VMs make the rule
     /// unsatisfied (the paper requires full placement, Eq. 5).
     pub fn is_satisfied(&self, assignment: &Assignment, infra: &Infrastructure) -> bool {

@@ -298,10 +298,24 @@ impl Infrastructure {
         for (l, d) in delta.iter().enumerate() {
             server.capacity[l] = (server.capacity[l] + d).max(0.0);
         }
-        let row = self.effective.row_mut(j.index());
-        for (l, e) in row.iter_mut().enumerate() {
-            *e = server.capacity[l] * server.factor[l];
+        self.refresh_effective(j);
+    }
+
+    /// Carves `demand` out of server `j`'s raw capacity (clamped at zero)
+    /// and refreshes the cached effective row: `adjust_capacity` with the
+    /// negated demand, without building the negated row. IEEE 754 defines
+    /// `a − d` as `a + (−d)`, so the result is bit-identical.
+    ///
+    /// # Panics
+    /// Panics if `demand` does not have `h` attributes.
+    pub fn sub_capacity(&mut self, j: ServerId, demand: &[f64]) {
+        let h = self.attr_count();
+        assert_eq!(demand.len(), h, "demand must have {h} attributes");
+        let server = &mut self.servers[j.index()];
+        for (l, d) in demand.iter().enumerate() {
+            server.capacity[l] = (server.capacity[l] - d).max(0.0);
         }
+        self.refresh_effective(j);
     }
 
     /// Overwrites server `j`'s raw capacity (clamped at zero per
@@ -316,6 +330,13 @@ impl Infrastructure {
         for (l, &c) in capacity.iter().enumerate() {
             server.capacity[l] = c.max(0.0);
         }
+        self.refresh_effective(j);
+    }
+
+    /// Recomputes the cached effective row of server `j` from its raw
+    /// capacity and factors.
+    fn refresh_effective(&mut self, j: ServerId) {
+        let server = &self.servers[j.index()];
         let row = self.effective.row_mut(j.index());
         for (l, e) in row.iter_mut().enumerate() {
             *e = server.capacity[l] * server.factor[l];

@@ -7,7 +7,7 @@ use crate::constraints::{self, ViolationReport};
 use crate::cost::{self, ObjectiveVector};
 use crate::infrastructure::{Infrastructure, ServerId};
 use crate::load::LoadTracker;
-use crate::request::{RequestBatch, RequestId, VmId};
+use crate::request::{Request, RequestBatch, RequestId, VmId};
 
 /// A complete instance of the paper's cloud resource allocation problem.
 #[derive(Clone, Debug)]
@@ -184,32 +184,47 @@ impl AllocationProblem {
     /// Requests fully and validly placed under `assignment` — the paper's
     /// acceptance measure behind Fig. 9.
     pub fn accepted_requests(&self, assignment: &Assignment) -> Vec<RequestId> {
-        let tracker = self.tracker(assignment);
-        let overloaded: Vec<ServerId> = tracker.exceeding_servers(&self.infra);
+        let overloaded = self.tracker(assignment).exceeding_servers(&self.infra);
         self.batch
             .requests()
             .iter()
-            .filter(|req| {
-                // Every VM placed…
-                let all_placed = req.vms.iter().all(|&k| assignment.server_of(k).is_some());
-                if !all_placed {
-                    return false;
-                }
-                // …on servers that are not overloaded…
-                let on_ok_servers = req.vms.iter().all(|&k| {
-                    let j = assignment.server_of(k).unwrap();
-                    !overloaded.contains(&j)
-                });
-                if !on_ok_servers {
-                    return false;
-                }
-                // …respecting every rule.
-                req.rules
-                    .iter()
-                    .all(|r| r.is_satisfied(assignment, &self.infra))
-            })
+            .filter(|req| self.is_accepted(req, assignment, &overloaded))
             .map(|req| req.id)
             .collect()
+    }
+
+    /// [`Self::accepted_requests`] as a mask indexed by request: entry `r`
+    /// is `true` when request `r` is accepted. Window executors test
+    /// membership once per request, which the mask makes O(1).
+    pub fn accepted_mask(&self, assignment: &Assignment) -> Vec<bool> {
+        let overloaded = self.tracker(assignment).exceeding_servers(&self.infra);
+        self.batch
+            .requests()
+            .iter()
+            .map(|req| self.is_accepted(req, assignment, &overloaded))
+            .collect()
+    }
+
+    /// Whether `req` is fully placed, on servers outside `overloaded`,
+    /// respecting every rule.
+    fn is_accepted(&self, req: &Request, assignment: &Assignment, overloaded: &[ServerId]) -> bool {
+        // Every VM placed…
+        let all_placed = req.vms.iter().all(|&k| assignment.server_of(k).is_some());
+        if !all_placed {
+            return false;
+        }
+        // …on servers that are not overloaded…
+        let on_ok_servers = req.vms.iter().all(|&k| {
+            let j = assignment.server_of(k).unwrap();
+            !overloaded.contains(&j)
+        });
+        if !on_ok_servers {
+            return false;
+        }
+        // …respecting every rule.
+        req.rules
+            .iter()
+            .all(|r| r.is_satisfied(assignment, &self.infra))
     }
 
     /// Gross revenue of the placement: Σ revenue over the resources of

@@ -163,6 +163,35 @@ impl RequestBatch {
         id
     }
 
+    /// Moves every request of `other` onto the end of this batch, in
+    /// order: VM ids, request ids and rule VM ids are offset by this
+    /// batch's current VM and request counts. Requests own contiguous VM
+    /// ranges (the only shape [`Self::push_request`] builds), so the
+    /// result equals pushing each of `other`'s requests here with cloned
+    /// specs and rebased rules, without cloning a spec.
+    pub fn append(&mut self, other: RequestBatch) {
+        let vm_base = self.vms.len();
+        let req_base = self.requests.len();
+        self.vms.extend(other.vms);
+        self.vm_request.extend(
+            other
+                .vm_request
+                .into_iter()
+                .map(|r| RequestId(req_base + r.0)),
+        );
+        self.requests
+            .extend(other.requests.into_iter().map(|mut req| {
+                req.id.0 += req_base;
+                for k in &mut req.vms {
+                    k.0 += vm_base;
+                }
+                for rule in &mut req.rules {
+                    rule.offset_vms(vm_base);
+                }
+                req
+            }));
+    }
+
     /// Total number of requested virtual resources `n`.
     #[inline]
     pub fn vm_count(&self) -> usize {

@@ -63,3 +63,14 @@ pub use registry::{
     Snapshot,
 };
 pub use span::{span, SpanGuard};
+
+/// Serialises the unit tests that touch process-global observability
+/// state (the flight ring, the strict-monitor flag, the profiler). One
+/// crate-wide lock, because a flight record also feeds the profiler: a
+/// per-module lock would let one module's test record into the state
+/// another module's test is asserting on.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

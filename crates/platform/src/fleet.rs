@@ -174,14 +174,14 @@ impl FleetExecutor {
                 &[solve_time.as_micros() as u64],
             );
         }
-        let accepted = problem.accepted_requests(&outcome.assignment);
+        let accepted = problem.accepted_mask(&outcome.assignment);
 
         let mut admitted = 0usize;
         let mut rejected = 0usize;
         let mut admitted_ids = Vec::new();
         for (i, req) in arrivals.requests().iter().enumerate() {
             let tid = arrival_tenant_ids[i];
-            if accepted.contains(&RequestId(i)) {
+            if accepted[i] {
                 self.admit_request(
                     tid,
                     window,
@@ -356,13 +356,13 @@ impl FleetExecutor {
         while slot != NO_SLOT {
             let next = self.vms.next(slot);
             let j = self.vms.server(slot);
-            let demand: Vec<f64> = self.vms.demand(slot).to_vec();
+            let demand = self.vms.demand(slot);
             let server = &self.infra.servers()[j as usize];
-            if self.loads.remove(j, &demand) {
+            if self.loads.remove(j, demand) {
                 self.provider_cost -= server.opex;
             }
             self.provider_cost -= server.usage_cost;
-            self.store.release(ServerId(j as usize), &demand);
+            self.store.release(ServerId(j as usize), demand);
             self.vms.remove(slot);
             slot = next;
         }

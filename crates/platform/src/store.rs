@@ -10,7 +10,7 @@
 //!
 //! * if every touched server still **fits** the proposed demand, the
 //!   commit is applied atomically — per-VM, in order, with the exact same
-//!   [`Infrastructure::adjust_capacity`] calls the native (unsharded)
+//!   [`Infrastructure::sub_capacity`] calls the native (unsharded)
 //!   admission path makes, so the residual stays bit-identical to a
 //!   sequential execution of the same commit sequence;
 //! * otherwise the commit **bounces** with a [`ConflictReason`]:
@@ -247,7 +247,7 @@ impl PlacementStore {
     /// Validates `placements` (one `(server, demand)` entry per VM of a
     /// request, in VM order) against the current residual and, if every
     /// touched server still fits, applies them atomically — per VM, in
-    /// order, via `adjust_capacity`, exactly as the native sequential
+    /// order, via `sub_capacity`, exactly as the native sequential
     /// admission path would. Versions of touched servers are bumped once
     /// per applied VM. On a bounce nothing is mutated except the
     /// conflict counters.
@@ -314,8 +314,7 @@ impl PlacementStore {
         if inner.offline[j.index()] {
             return;
         }
-        let neg: Vec<f64> = demand.iter().map(|d| -d).collect();
-        inner.residual.adjust_capacity(j, &neg);
+        inner.residual.sub_capacity(j, demand);
         inner.versions[j.index()] += 1;
     }
 
@@ -404,12 +403,11 @@ impl StoreInner {
             return Err((reason, ServerId(touched[slot])));
         }
         // Fits now → apply per VM, in order, through the same
-        // adjust_capacity calls the sequential path makes, so the
+        // sub_capacity calls the sequential path makes, so the
         // residual floats are bit-identical to an unsharded execution of
         // the same admission sequence.
         for &(j, demand) in placements {
-            let neg: Vec<f64> = demand.iter().map(|d| -d).collect();
-            self.residual.adjust_capacity(j, &neg);
+            self.residual.sub_capacity(j, demand);
             self.versions[j.index()] += 1;
         }
         Ok(())
