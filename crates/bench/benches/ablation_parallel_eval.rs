@@ -1,7 +1,7 @@
-//! Ablation — rayon-parallel vs sequential population evaluation.
+//! Ablation — parallel vs sequential population evaluation.
 //!
-//! The engine evaluates each generation's offspring with
-//! `par_iter().map(evaluate)`; this bench measures the speed-up on the
+//! The engine evaluates each generation's offspring on scoped threads,
+//! one contiguous run of the population per thread; this bench measures the speed-up on the
 //! allocation problem at two sizes. Determinism is unaffected (verified
 //! in the engine's tests): parallelism only reorders the evaluations.
 

@@ -5,17 +5,17 @@
 use cpo_core::prelude::{CpAllocator, RoundRobinAllocator};
 use cpo_model::attr::AttrSet;
 use cpo_model::prelude::{Infrastructure, ServerProfile};
-use cpo_platform::prelude::{PlatformSim, SimConfig};
+use cpo_platform::prelude::{SimConfig, WindowExecutor};
 use cpo_scenario::request_gen::RequestSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn sim(servers: usize, vms_per_window: usize) -> PlatformSim {
+fn sim(servers: usize, vms_per_window: usize) -> WindowExecutor {
     let infra = Infrastructure::new(
         AttrSet::standard(),
         vec![("dc".into(), ServerProfile::commodity(3).build_many(servers))],
     );
-    PlatformSim::new(
+    WindowExecutor::new(
         infra,
         SimConfig {
             arrivals: RequestSpec {

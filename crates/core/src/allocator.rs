@@ -181,6 +181,26 @@ impl Allocator for DeadlineBound<'_> {
     }
 }
 
+/// Admission control on a final solution: unassigns the VMs of every
+/// request that is not fully and validly served and returns those
+/// requests, in request order, as rejected.
+pub(crate) fn reject_unaccepted(
+    problem: &AllocationProblem,
+    assignment: &mut Assignment,
+) -> Vec<RequestId> {
+    let accepted = problem.accepted_mask(assignment);
+    let mut rejected = Vec::new();
+    for (req, ok) in problem.batch().requests().iter().zip(accepted) {
+        if !ok {
+            for &k in &req.vms {
+                assignment.unassign(k);
+            }
+            rejected.push(req.id);
+        }
+    }
+    rejected
+}
+
 /// Records one `Allocator::allocate` call into the observability
 /// registry: outcome labels on the span, a per-algorithm solve-time
 /// histogram (`allocator.solve_ns.<name>`) and run counter. No-op when

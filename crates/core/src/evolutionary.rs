@@ -14,7 +14,7 @@
 //! is explicitly rejected (VMs unassigned) so the hybrid, like CP and
 //! Round Robin, never emits an invalid placement.
 
-use crate::allocator::{AllocationOutcome, Allocator};
+use crate::allocator::{reject_unaccepted, AllocationOutcome, Allocator};
 use crate::cp_repair::CpRepair;
 use crate::moea_problem::AllocMoeaProblem;
 use cpo_model::prelude::*;
@@ -119,22 +119,6 @@ impl EvoAllocator {
     }
 }
 
-/// Admission control on the final solution: unassign the VMs of every
-/// request that is not fully and validly served; report them as rejected.
-fn finalize(problem: &AllocationProblem, assignment: &mut Assignment) -> Vec<RequestId> {
-    let accepted = problem.accepted_requests(assignment);
-    let mut rejected = Vec::new();
-    for req in problem.batch().requests() {
-        if !accepted.contains(&req.id) {
-            for &k in &req.vms {
-                assignment.unassign(k);
-            }
-            rejected.push(req.id);
-        }
-    }
-    rejected
-}
-
 /// Iterated repair + admission: repair the individual, reject what is
 /// still invalid, then let the repair try once more to place the evicted
 /// requests against the freed capacity. Converges in a few rounds because
@@ -154,13 +138,13 @@ fn admit(
         Hybrid::None => {}
     };
     repair_once(assignment);
-    let mut rejected = finalize(problem, assignment);
+    let mut rejected = reject_unaccepted(problem, assignment);
     for _ in 0..3 {
         if rejected.is_empty() {
             break;
         }
         repair_once(assignment); // tries to place the unassigned VMs
-        let next = finalize(problem, assignment);
+        let next = reject_unaccepted(problem, assignment);
         if next.len() >= rejected.len() {
             rejected = next;
             break;

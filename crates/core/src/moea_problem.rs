@@ -2,15 +2,15 @@
 //! server ids (real-coded), objectives are the three Eq. 15 terms, and the
 //! constraint-violation degree feeds constraint-domination.
 //!
-//! Genome evaluation reuses pooled [`DeltaEvaluator`]s: each rayon worker
-//! pops one from the pool, `reset`s it onto the decoded assignment (every
-//! buffer — tracker matrix, per-server occupancy lists, penalty caches —
-//! is reused, no per-genome allocation of derived state), scores, and
-//! returns it. Scores are bit-identical to the old per-genome
+//! Genome evaluation reuses pooled [`DeltaEvaluator`]s: each evaluation
+//! thread pops one from the pool, `reset`s it onto the decoded assignment
+//! (every buffer — tracker matrix, per-server occupancy lists, penalty
+//! caches — is reused, no per-genome allocation of derived state), scores,
+//! and returns it. Scores are bit-identical to the old per-genome
 //! `check`/`evaluate` pair, pinned by `evaluation_matches_direct_model_calls`.
 
 use crate::encoding::GenomeCodec;
-use crate::eval_pool::EvaluatorPool;
+use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::{Evaluation, MoeaProblem};
 

@@ -21,7 +21,7 @@
 //! it mid-repair), the seed outcome is returned instead — the allocator
 //! is monotone in its seed by construction.
 
-use crate::allocator::{AllocationOutcome, Allocator};
+use crate::allocator::{reject_unaccepted, AllocationOutcome, Allocator};
 use crate::filtering::FilteringAllocator;
 use cpo_model::deadline::Deadline;
 use cpo_model::prelude::*;
@@ -83,16 +83,7 @@ impl Allocator for TabuSearchAllocator {
         // Admission control: evict whatever the polish left partially or
         // invalidly placed; what survives is violation-free.
         let mut polished = result.best;
-        let accepted = problem.accepted_requests(&polished);
-        let mut rejected = Vec::new();
-        for req in problem.batch().requests() {
-            if !accepted.contains(&req.id) {
-                for &k in &req.vms {
-                    polished.unassign(k);
-                }
-                rejected.push(req.id);
-            }
-        }
+        let rejected = reject_unaccepted(problem, &mut polished);
         let polished = AllocationOutcome::from_assignment(
             problem,
             polished,

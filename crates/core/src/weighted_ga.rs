@@ -5,9 +5,9 @@
 //! benches: the same engine, genome and repair, but a single weighted
 //! objective instead of the three-dimensional Pareto search.
 
-use crate::allocator::{AllocationOutcome, Allocator};
+use crate::allocator::{reject_unaccepted, AllocationOutcome, Allocator};
 use crate::encoding::GenomeCodec;
-use crate::eval_pool::EvaluatorPool;
+use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::{run, Evaluation, MoeaProblem, NsgaConfig, Repair, Variant};
 use cpo_tabu::repair::{repair as tabu_repair, RepairConfig, ScanOrder};
@@ -125,16 +125,7 @@ impl Allocator for WeightedGaAllocator {
             .expect("population non-empty");
         let mut assignment = codec.decode(&best.genes);
         let _ = tabu_repair(problem, &mut assignment, &self.repair);
-        let accepted = problem.accepted_requests(&assignment);
-        let mut rejected = Vec::new();
-        for req in problem.batch().requests() {
-            if !accepted.contains(&req.id) {
-                for &k in &req.vms {
-                    assignment.unassign(k);
-                }
-                rejected.push(req.id);
-            }
-        }
+        let rejected = reject_unaccepted(problem, &mut assignment);
         let outcome = AllocationOutcome::from_assignment(
             problem,
             assignment,

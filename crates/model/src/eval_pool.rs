@@ -1,33 +1,27 @@
 //! A shared pool of reusable [`DeltaEvaluator`]s for parallel scoring.
 //!
-//! Originally extracted (as `cpo_core::eval_pool`, which now re-exports
-//! this module) from the two identical inline pools in the MOEA and
-//! weighted-GA adapters after a concurrency audit of the
+//! Extracted from the two identical inline pools in the MOEA and
+//! weighted-GA adapters (`cpo-core`) after a concurrency audit of the
 //! sharded-scheduler work. The audit question was whether a pool's
 //! `Mutex` is ever held across a solve or a score — which would
-//! serialise rayon workers and, worse, would deadlock if a scoring path
-//! ever re-entered the pool. The answer is no, and this type makes the
-//! discipline structural:
+//! serialise evaluation threads and, worse, would deadlock if a scoring
+//! path ever re-entered the pool. The answer is no, and this type makes
+//! the discipline structural:
 //!
 //! * [`EvaluatorPool::score`] takes the lock **twice, briefly**: once to
 //!   pop an evaluator (or miss and build a fresh one), once to push it
 //!   back. The actual `reset` + `score` — the expensive part, touching
 //!   the tracker matrix and penalty caches — runs on an **owned**
 //!   evaluator with no lock held.
-//! * [`EvaluatorPool::checkout`] / [`checkin`](EvaluatorPool::checkin)
-//!   expose the same pop/push pair for workers that keep an evaluator
-//!   across a whole scan (the parallel tabu engine draws one per scan
-//!   worker at search start and returns it at the end) — the lock is
-//!   still never held while the evaluator is used.
 //! * The pool therefore grows to at most the number of concurrent
 //!   workers, and a worker can never block another for longer than a
 //!   `Vec::pop`/`Vec::push`.
 //!
-//! The sharded scheduler (`cpo_platform::shard`) deliberately does
-//! *not* use this type: shards are long-lived within a round and each
-//! owns a private `DeltaEvaluator` outright, so cross-shard scoring
-//! shares nothing. Pools are for the intra-solve hot loop, where
-//! evaluations are short and churn is high.
+//! The sharded scheduler (`cpo_platform::shard`) and the parallel tabu
+//! scan (`cpo_tabu::parallel`) deliberately do *not* use this type:
+//! their workers are long-lived and each owns a private
+//! `DeltaEvaluator` outright, so they share nothing. Pools are for the
+//! intra-solve hot loop, where evaluations are short and churn is high.
 //!
 //! A `Mutex` (not a thread-local) because the evaluators borrow the
 //! problem for `'a` and `thread_local!` requires `'static`.
@@ -38,8 +32,7 @@ use crate::problem::AllocationProblem;
 use std::sync::Mutex;
 
 /// Reusable [`DeltaEvaluator`]s for one [`AllocationProblem`], popped
-/// per evaluation (or checked out per worker). See the module docs for
-/// the locking discipline.
+/// per evaluation. See the module docs for the locking discipline.
 pub struct EvaluatorPool<'a> {
     problem: &'a AllocationProblem,
     pool: Mutex<Vec<DeltaEvaluator<'a>>>,
@@ -64,7 +57,7 @@ impl<'a> EvaluatorPool<'a> {
     /// reset — or a fresh build on a miss — with no lock held during
     /// either. The caller owns the evaluator until
     /// [`checkin`](Self::checkin).
-    pub fn checkout(&self, assignment: Assignment) -> DeltaEvaluator<'a> {
+    fn checkout(&self, assignment: Assignment) -> DeltaEvaluator<'a> {
         let pooled = self.pool.lock().expect("evaluator pool poisoned").pop();
         match pooled {
             Some(mut ev) => {
@@ -77,7 +70,7 @@ impl<'a> EvaluatorPool<'a> {
 
     /// Returns an evaluator to the pool (brief lock). Its state is kept
     /// as-is; the next checkout resets it.
-    pub fn checkin(&self, ev: DeltaEvaluator<'a>) {
+    fn checkin(&self, ev: DeltaEvaluator<'a>) {
         self.pool.lock().expect("evaluator pool poisoned").push(ev);
     }
 

@@ -194,8 +194,9 @@ impl AllocationProblem {
     }
 
     /// [`Self::accepted_requests`] as a mask indexed by request: entry `r`
-    /// is `true` when request `r` is accepted. Window executors test
-    /// membership once per request, which the mask makes O(1).
+    /// is `true` when request `r` is accepted. Window executors and the
+    /// allocators' admission pass test membership once per request, which
+    /// the mask makes O(1).
     pub fn accepted_mask(&self, assignment: &Assignment) -> Vec<bool> {
         let overloaded = self.tracker(assignment).exceeding_servers(&self.infra);
         self.batch

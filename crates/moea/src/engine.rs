@@ -1,6 +1,6 @@
 //! The generational engine driving NSGA-II and NSGA-III, with the repair
 //! hook of the paper's Fig. 4 ("NSGA-III enhanced with tabu search in
-//! reproduction process") and rayon-parallel population evaluation.
+//! reproduction process") and population evaluation on scoped threads.
 
 use crate::crowding::assign_crowding_distance;
 use crate::individual::Individual;
@@ -14,7 +14,7 @@ use crate::selection::{tournament_nsga2, tournament_nsga3, tournament_unsga3};
 use crate::sort::fast_non_dominated_sort;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// Which elitist selection the engine runs.
@@ -75,7 +75,7 @@ pub struct NsgaConfig {
     pub variant: Variant,
     /// RNG seed (runs are fully deterministic given the seed).
     pub seed: u64,
-    /// Evaluate populations in parallel with rayon.
+    /// Evaluate populations in parallel on scoped threads.
     pub parallel_eval: bool,
     /// When the repair hook is invoked.
     pub repair_mode: RepairMode,
@@ -238,11 +238,30 @@ impl<F: Fn(&mut [f64]) -> bool + Sync> Repair for F {
 
 fn evaluate_all<P: MoeaProblem>(problem: &P, pop: &mut [Individual], parallel: bool) -> usize {
     let todo: Vec<usize> = (0..pop.len()).filter(|&i| !pop[i].is_evaluated()).collect();
-    if parallel && todo.len() > 1 {
-        let evals: Vec<_> = todo
-            .par_iter()
-            .map(|&i| problem.evaluate(&pop[i].genes))
-            .collect();
+    // One contiguous run of `todo` per thread, results joined in input
+    // order; evaluation is pure, so the schedule cannot change a bit.
+    let threads = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(todo.len());
+    if parallel && threads > 1 {
+        let chunk = todo.len().div_ceil(threads);
+        let population = &*pop;
+        let evals: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = todo
+                .chunks(chunk)
+                .map(|part| {
+                    scope.spawn(move || {
+                        part.iter()
+                            .map(|&i| problem.evaluate(&population[i].genes))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("evaluation thread panicked"))
+                .collect()
+        });
         for (&i, e) in todo.iter().zip(evals) {
             pop[i].set_evaluation(e);
         }

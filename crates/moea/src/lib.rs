@@ -9,7 +9,7 @@
 //! repair hook of the paper's Fig. 4 through which the tabu search (or any
 //! other fixer) plugs into the reproduction pipeline.
 //!
-//! Populations evaluate in parallel with rayon; runs are deterministic
+//! Populations evaluate in parallel on scoped threads; runs are deterministic
 //! given a seed regardless of parallelism.
 //!
 //! ```

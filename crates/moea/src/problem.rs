@@ -34,7 +34,7 @@ impl Evaluation {
 /// the paper's SBX/PM operators ("SBX and PM standard") assume.
 ///
 /// Implementations must be [`Sync`] so populations can be evaluated in
-/// parallel with rayon.
+/// parallel on scoped threads.
 pub trait MoeaProblem: Sync {
     /// Number of decision variables (genes).
     fn n_vars(&self) -> usize;

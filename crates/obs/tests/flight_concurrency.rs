@@ -5,22 +5,21 @@
 //! own test binary because the enabled recorder is process-global.
 
 use cpo_obs::flight::{self, FlightKind, CAPACITY};
-use rayon::prelude::*;
 
 /// Payload relation: every event written by the hammer satisfies
 /// `a == key * 10 + 1` and `b == key * 10 + 2`. A torn read mixing words
 /// from two different writes violates at least one equation.
 fn hammer(events_per_thread: u64, threads: u64) {
-    let writers: Vec<u64> = (0..threads).collect();
-    let _: Vec<()> = writers
-        .par_iter()
-        .map(|&t| {
-            for i in 0..events_per_thread {
-                let key = t * events_per_thread + i;
-                flight::record(FlightKind::Marker, key, key, key * 10 + 1, key * 10 + 2);
-            }
-        })
-        .collect();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            scope.spawn(move || {
+                for i in 0..events_per_thread {
+                    let key = t * events_per_thread + i;
+                    flight::record(FlightKind::Marker, key, key, key * 10 + 1, key * 10 + 2);
+                }
+            });
+        }
+    });
 }
 
 #[test]

@@ -1,30 +1,29 @@
 //! Span nesting must stay coherent when worker threads record in
-//! parallel: depth is tracked per thread, so a rayon task's span is a
-//! root (depth 0) on its own worker thread while spans opened inside it
+//! parallel: depth is tracked per thread, so a worker thread's span is a
+//! root (depth 0) on that thread while spans opened inside it
 //! nest below it, and events from different threads carry distinct tids.
 //! Own binary: mutates the global registry.
 
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 #[test]
-fn spans_nest_per_thread_under_rayon() {
+fn spans_nest_per_thread_under_threads() {
     cpo_obs::enable();
     cpo_obs::reset();
 
     {
         let _root = cpo_obs::span!("exper.run", run = 0u64);
-        let _results: Vec<u64> = (0..64u64)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&i| {
-                let _outer = cpo_obs::span!("nsga3.generation", gen = i);
-                {
-                    let _inner = cpo_obs::span!("moea.hypervolume");
-                    std::hint::black_box(i * i)
-                }
-            })
-            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                scope.spawn(move || {
+                    for i in t * 16..(t + 1) * 16 {
+                        let _outer = cpo_obs::span!("nsga3.generation", gen = i);
+                        let _inner = cpo_obs::span!("moea.hypervolume");
+                        std::hint::black_box(i * i);
+                    }
+                });
+            }
+        });
     }
 
     cpo_obs::disable();

@@ -7,9 +7,11 @@
 //!
 //! * [`tenant`] — accepted requests living across windows with their
 //!   affinity rules and lifetimes;
-//! * [`sim`] — the cyclic window loop: departures → arrivals → solve (any
-//!   [`cpo_core::allocator::Allocator`]) → apply reconfiguration plan
-//!   (migrations, Eq. 26) → admit/reject;
+//! * [`executor`] — [`executor::WindowExecutor`], the cyclic window loop:
+//!   departures → arrivals → solve (any [`cpo_core::allocator::Allocator`])
+//!   → apply reconfiguration plan (migrations, Eq. 26) → admit/reject,
+//!   as a fixed-step [`executor::WindowExecutor::step`] or as phases an
+//!   event-driven driver sequences;
 //! * [`events`] — an append-only platform event log;
 //! * [`accounting`] — per-window and per-run metrics (provider cost,
 //!   downtime, migrations, rejection rate);
@@ -31,10 +33,10 @@
 //!     AttrSet::standard(),
 //!     vec![("dc".into(), ServerProfile::commodity(3).build_many(8))],
 //! );
-//! let mut sim = PlatformSim::new(infra, SimConfig::default());
-//! let report = sim.run(&RoundRobinAllocator, 5);
+//! let mut exec = WindowExecutor::new(infra, SimConfig::default());
+//! let report = exec.run(&RoundRobinAllocator, 5);
 //! assert_eq!(report.windows.len(), 5);
-//! assert!(sim.verify_state().is_feasible());
+//! assert!(exec.verify_state().is_feasible());
 //! ```
 
 #![warn(missing_docs)]
@@ -46,7 +48,6 @@ pub mod fleet;
 pub mod network;
 pub mod probe;
 pub mod shard;
-pub mod sim;
 pub mod sla;
 pub mod store;
 pub mod tenant;
@@ -55,11 +56,10 @@ pub mod tenant;
 pub mod prelude {
     pub use crate::accounting::{SimReport, WindowReport};
     pub use crate::events::{Event, EventLog, EVENT_LOG_SCHEMA_VERSION};
-    pub use crate::executor::{LifetimePolicy, WindowExecutor};
+    pub use crate::executor::{LifetimePolicy, SimConfig, WindowExecutor};
     pub use crate::fleet::FleetExecutor;
     pub use crate::network::{FlowAdmission, NetworkModel};
     pub use crate::shard::{PartitionStrategy, ShardBackend, ShardConfig, ShardedScheduler};
-    pub use crate::sim::{PlatformSim, SimConfig};
     pub use crate::sla::{SlaLedger, SlaRecord};
     pub use crate::store::{
         CommitCtx, ConflictReason, PlacementStore, StoreMetrics, StoreSnapshot,

@@ -3,9 +3,9 @@
 //! The exhaustive `n·m` relocation scan (and any explicit candidate
 //! list) is partitioned into [`TabuConfig::threads`] **contiguous**
 //! chunks of the canonical `(vm, server)` order. Each chunk is scored by
-//! a dedicated scan worker — a [`DeltaEvaluator`] drawn from an
-//! [`EvaluatorPool`] at search start and held for the whole search —
-//! and reduced to the chunk's *first* strictly-best move. The global
+//! a dedicated scan worker — a [`DeltaEvaluator`] built at search start
+//! and held for the whole search — and reduced to the chunk's *first*
+//! strictly-best move. The global
 //! reduction then walks the chunks **in canonical order**, replacing the
 //! running winner only on a strictly better score.
 //!
@@ -28,18 +28,17 @@
 //! counters are bit-identical at any thread count, which is what
 //! `tests/parallel_search_differential.rs` pins.
 //!
-//! Physical parallelism comes from the `rayon` `par_iter` over the chunk
-//! descriptors; on a single-core host the chunks run serially on one
-//! thread (each briefly locking its own uncontended worker mutex) and
-//! the result is — by the argument above — still identical.
+//! Physical parallelism comes from scoped threads, at most
+//! `available_parallelism` of them, each taking exclusive (`&mut`)
+//! access to a contiguous run of workers; on a single-core host the
+//! workers run serially on the calling thread and the result is — by the
+//! argument above — still identical.
 
 use crate::list::TabuList;
 use crate::search::Score;
 use cpo_model::delta::DeltaEvaluator;
-use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
-use rayon::prelude::*;
-use std::sync::Mutex;
+use std::num::NonZeroUsize;
 
 /// A candidate move the scan considers: `(vm, target server, score,
 /// accepted-via-aspiration)`.
@@ -98,27 +97,20 @@ pub(crate) struct ScanOutcome {
     pub work: u64,
 }
 
-/// The per-search team of scan workers: one pooled [`DeltaEvaluator`]
-/// per configured thread, kept in lock-step with the search's committed
+/// The per-search team of scan workers: one [`DeltaEvaluator`] per
+/// configured thread, kept in lock-step with the search's committed
 /// trajectory via [`commit`](Self::commit).
 pub(crate) struct ScanWorkers<'p> {
-    pool: EvaluatorPool<'p>,
-    workers: Vec<Mutex<DeltaEvaluator<'p>>>,
+    workers: Vec<DeltaEvaluator<'p>>,
 }
 
 impl<'p> ScanWorkers<'p> {
-    /// Draws `threads` evaluators holding `start` from a fresh pool.
+    /// Builds `threads` evaluators holding `start`.
     pub fn new(problem: &'p AllocationProblem, start: &Assignment, threads: usize) -> Self {
-        let pool = EvaluatorPool::new(problem);
         let workers = (0..threads.max(1))
-            .map(|_| Mutex::new(pool.checkout(start.clone())))
+            .map(|_| DeltaEvaluator::new(problem, start.clone()))
             .collect();
-        Self { pool, workers }
-    }
-
-    /// Number of worker slots (== configured threads).
-    pub fn len(&self) -> usize {
-        self.workers.len()
+        Self { workers }
     }
 
     /// Replays an accepted move on every worker so the next scan peeks
@@ -126,9 +118,8 @@ impl<'p> ScanWorkers<'p> {
     /// the measured scan window: sync work is excluded from the
     /// search's `eval_work` so the counter stays bit-identical to the
     /// serial engine's.
-    pub fn commit(&self, k: VmId, j: ServerId) {
-        for w in &self.workers {
-            let mut ev = w.lock().expect("scan worker poisoned");
+    pub fn commit(&mut self, k: VmId, j: ServerId) {
+        for ev in &mut self.workers {
             ev.apply(k, j);
             ev.clear_history();
         }
@@ -137,55 +128,75 @@ impl<'p> ScanWorkers<'p> {
     /// Scans `set` against `tabu` and the incumbent `best_score`,
     /// partitioned across the workers; see the module docs for the
     /// reduction rules.
-    pub fn scan(&self, set: &ScanSet<'_>, tabu: &TabuList, best_score: Score) -> ScanOutcome {
+    pub fn scan(&mut self, set: &ScanSet<'_>, tabu: &TabuList, best_score: Score) -> ScanOutcome {
         let total = set.len();
-        let threads = self.workers.len();
-        let chunk = total.div_ceil(threads.max(1)).max(1);
-        // One descriptor per worker slot: (worker index, chunk bounds).
-        let jobs: Vec<(usize, usize, usize)> = (0..threads)
-            .map(|wi| {
-                let lo = (wi * chunk).min(total);
-                let hi = (lo + chunk).min(total);
-                (wi, lo, hi)
-            })
-            .collect();
-        let chunks: Vec<ChunkScan> = jobs
-            .par_iter()
-            .map(|&(wi, lo, hi)| {
-                let mut ev = self.workers[wi].lock().expect("scan worker poisoned");
-                let w0 = ev.work();
-                let mut best: Option<Candidate> = None;
-                let mut scanned = 0usize;
-                let mut evals = 0usize;
-                for idx in lo..hi {
-                    let (k, j) = set.pair(idx);
-                    if ev.assignment().server_of(k) == Some(j) {
-                        continue;
-                    }
-                    scanned += 1;
-                    evals += 1;
-                    let is_tabu = tabu.is_tabu(k, j);
-                    let s: Score = ev.peek_relocate(k, j).into();
-                    let aspirated = is_tabu && s.better_than(&best_score);
-                    if is_tabu && !aspirated {
-                        continue;
-                    }
-                    let better = match &best {
-                        None => true,
-                        Some((_, _, cs, _)) => s.better_than(cs),
-                    };
-                    if better {
-                        best = Some((k, j, s, aspirated));
-                    }
+        let chunk = total.div_ceil(self.workers.len()).max(1);
+        // Worker `wi` scans pairs `wi * chunk ..` of the canonical order
+        // and keeps its chunk's first strictly-best admissible candidate.
+        let scan_one = |wi: usize, ev: &mut DeltaEvaluator<'p>| {
+            let lo = (wi * chunk).min(total);
+            let hi = (lo + chunk).min(total);
+            let w0 = ev.work();
+            let mut best: Option<Candidate> = None;
+            let mut scanned = 0usize;
+            let mut evals = 0usize;
+            for idx in lo..hi {
+                let (k, j) = set.pair(idx);
+                if ev.assignment().server_of(k) == Some(j) {
+                    continue;
                 }
-                ChunkScan {
-                    best,
-                    scanned,
-                    evals,
-                    work: ev.work() - w0,
+                scanned += 1;
+                evals += 1;
+                let is_tabu = tabu.is_tabu(k, j);
+                let s: Score = ev.peek_relocate(k, j).into();
+                let aspirated = is_tabu && s.better_than(&best_score);
+                if is_tabu && !aspirated {
+                    continue;
                 }
+                let better = match &best {
+                    None => true,
+                    Some((_, _, cs, _)) => s.better_than(cs),
+                };
+                if better {
+                    best = Some((k, j, s, aspirated));
+                }
+            }
+            ChunkScan {
+                best,
+                scanned,
+                evals,
+                work: ev.work() - w0,
+            }
+        };
+        // Each thread owns a contiguous run of workers; results join back
+        // in worker (= canonical chunk) order. One thread scans inline.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(self.workers.len());
+        let run = self.workers.len().div_ceil(threads);
+        let scan_run = |ri: usize, evs: &mut [DeltaEvaluator<'p>]| {
+            evs.iter_mut()
+                .enumerate()
+                .map(|(i, ev)| scan_one(ri * run + i, ev))
+                .collect::<Vec<ChunkScan>>()
+        };
+        let chunks = if threads <= 1 {
+            scan_run(0, &mut self.workers)
+        } else {
+            let scan_run = &scan_run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .workers
+                    .chunks_mut(run)
+                    .enumerate()
+                    .map(|(ri, evs)| scope.spawn(move || scan_run(ri, evs)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("scan thread panicked"))
+                    .collect()
             })
-            .collect();
+        };
 
         // Cross-chunk reduction in canonical (chunk) order: strictly
         // better replaces, ties keep the earlier chunk's winner.
@@ -210,16 +221,5 @@ impl<'p> ScanWorkers<'p> {
             }
         }
         out
-    }
-
-    /// Returns every worker evaluator to the pool and hands the pool
-    /// back (its `idle()` then equals the worker count — the audit
-    /// diagnostic the pool's docs describe).
-    pub fn into_pool(self) -> EvaluatorPool<'p> {
-        for w in self.workers {
-            self.pool
-                .checkin(w.into_inner().expect("scan worker poisoned"));
-        }
-        self.pool
     }
 }

@@ -568,7 +568,7 @@ pub fn tabu_search_observed(
     // deterministic neighborhoods under delta scoring. Sampled draws its
     // candidates from a sequential RNG and Full is the differential
     // oracle — both keep the single-engine path.
-    let workers = (config.threads > 1
+    let mut workers = (config.threads > 1
         && config.scoring == Scoring::Delta
         && !matches!(config.neighborhood, Neighborhood::Sampled))
     .then(|| ScanWorkers::new(problem, engine.current(), config.threads));
@@ -630,7 +630,7 @@ pub fn tabu_search_observed(
                 }
             }
             Some(set) => {
-                if let Some(team) = workers.as_ref() {
+                if let Some(team) = workers.as_mut() {
                     let out = team.scan(&set, &tabu, best_score);
                     candidates_scanned += out.scanned;
                     scan_evals_extra += out.evals;
@@ -658,7 +658,7 @@ pub fn tabu_search_observed(
             tabu.push(TabuMove { vm: k, from });
         }
         engine.commit(k, j);
-        if let Some(team) = workers.as_ref() {
+        if let Some(team) = workers.as_mut() {
             team.commit(k, j);
         }
         current_score = s;
@@ -670,12 +670,6 @@ pub fn tabu_search_observed(
         }
         // Early exit once feasible and stagnating is handled by budget;
         // a perfect zero-cost solution cannot exist (opex > 0), so run on.
-    }
-
-    if let Some(team) = workers {
-        let slots = team.len();
-        let pool = team.into_pool();
-        debug_assert_eq!(pool.idle(), slots, "every scan worker checked back in");
     }
 
     let (engine_delta_evals, full_evals, engine_work) = engine.stats();

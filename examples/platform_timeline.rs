@@ -33,7 +33,7 @@ fn main() {
         seed: 2024,
         ..Default::default()
     };
-    let mut sim = PlatformSim::new(infra, config);
+    let mut sim = WindowExecutor::new(infra, config);
 
     // A cheap allocator keeps the window latency low; swap in
     // EvoAllocator::nsga3_tabu(...) to see the optimiser replan live.

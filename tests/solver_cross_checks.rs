@@ -276,7 +276,7 @@ fn platform_stays_feasible_under_every_allocator() {
         })),
     ];
     for allocator in &allocators {
-        let mut sim = PlatformSim::new(mk_infra(), config.clone());
+        let mut sim = WindowExecutor::new(mk_infra(), config.clone());
         for _ in 0..5 {
             sim.step(allocator.as_ref());
             let report = sim.verify_state();

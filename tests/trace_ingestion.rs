@@ -11,12 +11,19 @@ use std::io::Write as _;
 
 const SAMPLE: &str = include_str!("../examples/data/azure_sample.csv");
 
+/// The sample written once per process: tests run in parallel, and
+/// rewriting the file while another test reads it truncates that test's
+/// input.
 fn sample_path() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("cpo_trace_ingestion_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("azure_sample.csv");
-    std::fs::write(&path, SAMPLE).unwrap();
-    path
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join("cpo_trace_ingestion_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("azure_sample.csv");
+        std::fs::write(&path, SAMPLE).unwrap();
+        path
+    })
+    .clone()
 }
 
 fn replay(seed: u64, factor: usize) -> Vec<(usize, usize, usize)> {

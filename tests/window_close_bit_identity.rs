@@ -1,4 +1,4 @@
-//! Golden digests of the continuous-time window loop.
+//! Golden digests of the continuous-time and the fixed-step window loop.
 //!
 //! `WindowedScheduler::run` is driven over `FleetExecutor`,
 //! `WindowExecutor` and a two-shard `ShardedScheduler` with arrivals
@@ -16,20 +16,28 @@
 //! subtraction). Any change to a decision, a departure's scheduling
 //! order or a residual float shows up here.
 //!
+//! The fixed-step loop (`WindowExecutor::run`) is pinned the same way
+//! over generated arrivals: round robin at seeds 1, 7 and 42, and the CP
+//! allocator while servers fail and are repaired. Those digests cover
+//! every per-window report and the whole event log as JSON lines; they
+//! were recorded before the fixed-step loop moved onto `WindowExecutor`.
+//!
 //! The two primitives that rework rests on are checked directly against
 //! the code they replaced: `RequestBatch::append` against the
 //! clone-and-rebase merge through `push_request`, and
 //! `Infrastructure::sub_capacity` against `adjust_capacity` with the
 //! negated demand.
 
-use cpo_core::prelude::{Allocator, FilteringAllocator, RoundRobinAllocator};
+use cpo_core::prelude::{Allocator, CpAllocator, FilteringAllocator, RoundRobinAllocator};
 use cpo_des::prelude::*;
 use cpo_model::attr::AttrSet;
 use cpo_model::prelude::*;
 use cpo_platform::prelude::{
-    FleetExecutor, ShardConfig, ShardedScheduler, SimConfig, WindowExecutor, WindowReport,
+    FleetExecutor, ShardConfig, ShardedScheduler, SimConfig, SimReport, WindowExecutor,
+    WindowReport,
 };
 use cpo_platform::tenant::rebase_rules;
+use cpo_scenario::request_gen::RequestSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -177,6 +185,14 @@ impl Digest {
         self.float(r.end_time);
     }
 
+    fn bytes(&mut self, text: &str) {
+        self.word(text.len() as u64);
+        for b in text.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
     fn fleet(&mut self, f: &FleetExecutor) {
         assert!(f.verify().is_ok(), "{:?}", f.verify());
         self.word(f.live_vms() as u64);
@@ -290,6 +306,70 @@ fn sharded_fleet_is_pinned() {
     d.fleet(s.backend().backend());
     let got = d.0;
     assert_eq!(got, 0x3261_c29b_1a7a_b42b, "got {got:#018x}");
+}
+
+/// One datacenter of `servers` commodity servers for the fixed-step
+/// loop.
+fn fixed_infra(servers: usize) -> Infrastructure {
+    Infrastructure::new(
+        AttrSet::standard(),
+        vec![("dc".into(), ServerProfile::commodity(3).build_many(servers))],
+    )
+}
+
+/// The fixed-step loop over `windows` windows of `vms` generated VMs
+/// each: every per-window report and the whole event log as JSON lines.
+fn fixed_step_digest(
+    allocator: &dyn Allocator,
+    seed: u64,
+    vms: usize,
+    failure_prob: f64,
+    windows: u64,
+) -> u64 {
+    let config = SimConfig {
+        arrivals: RequestSpec {
+            total_vms: vms,
+            ..Default::default()
+        },
+        lifetime: (2, 5),
+        seed,
+        server_failure_prob: failure_prob,
+        repair_windows: 2,
+    };
+    let mut exec = WindowExecutor::new(fixed_infra(vms), config);
+    let report: SimReport = exec.run(allocator, windows);
+    assert_eq!(report.windows.len() as u64, windows);
+    assert_eq!(failure_prob > 0.0, exec.log().failure_count() > 0);
+    let mut d = Digest::new();
+    d.word(report.windows.len() as u64);
+    for w in &report.windows {
+        d.window(w);
+    }
+    d.bytes(&exec.log().to_json_lines());
+    d.0
+}
+
+#[test]
+fn fixed_step_round_robin_is_pinned() {
+    let got: Vec<u64> = [1u64, 7, 42]
+        .iter()
+        .map(|&seed| fixed_step_digest(&RoundRobinAllocator, seed, 8, 0.0, 8))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            0xfc9b_af5f_c503_653f,
+            0xc4ab_9a1d_2ef2_ffe0,
+            0xf167_465a_a795_6238
+        ],
+        "got {got:#018x?}"
+    );
+}
+
+#[test]
+fn fixed_step_cp_under_failures_is_pinned() {
+    let got = fixed_step_digest(&CpAllocator::default(), 13, 6, 0.6, 6);
+    assert_eq!(got, 0xadd5_4d25_cb9b_3bbd, "got {got:#018x}");
 }
 
 /// The batch merge `append` replaced: clone every spec and push each
